@@ -15,6 +15,7 @@ import (
 	"mobiwlan/internal/core"
 	"mobiwlan/internal/csi"
 	"mobiwlan/internal/ctlproto"
+	"mobiwlan/internal/fastmath"
 	"mobiwlan/internal/geom"
 	"mobiwlan/internal/mac"
 	"mobiwlan/internal/medium"
@@ -90,6 +91,31 @@ func TestMeasureIntoAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("MeasureInto with warm buffer: %v allocs/op, want 0", allocs)
+	}
+}
+
+// TestFastmathLanesAllocFree pins the four-lane transcendental entry
+// points the channel hot path calls: the batched Sincos, the batched
+// Box-Muller transform and the NormFill stream that drives it keep
+// their scratch on the stack.
+func TestFastmathLanesAllocFree(t *testing.T) {
+	x := make([]float64, 131)
+	u := make([]float64, len(x))
+	for i := range x {
+		x[i] = float64(i)*37.1 - 2000
+		u[i] = (float64(i) + 0.5) / float64(len(u))
+	}
+	sin := make([]float64, len(x))
+	cos := make([]float64, len(x))
+	dst := make([]float64, 1249)
+	rng := stats.NewRNG(5)
+	allocs := testing.AllocsPerRun(100, func() {
+		fastmath.SincosSlice(x, sin, cos)
+		fastmath.NormPairs(u, x, sin, cos)
+		rng.NormFill(dst, 0, 0.1)
+	})
+	if allocs != 0 {
+		t.Fatalf("fastmath lanes: %v allocs/op, want 0", allocs)
 	}
 }
 

@@ -43,6 +43,10 @@ var hotpathManifest = map[string][]hotpathPin{
 		{"internal/channel/kernel.go", "Model", "sweepFused"},
 		{"internal/channel/chainquad_amd64.go", "", "chainQuad2"},
 	},
+	"TestFastmathLanesAllocFree": {
+		{"internal/fastmath/lanes_amd64.go", "", "sincos4"},
+		{"internal/fastmath/lanes_amd64.go", "", "normPairs4"},
+	},
 	"TestWorkspaceSimilarityAllocFree": {
 		{"internal/csi/csi.go", "Workspace", "Similarity"},
 	},

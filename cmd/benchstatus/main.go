@@ -9,6 +9,10 @@
 //	    Run the benchmarks and write a normalized snapshot (ns/op, B/op,
 //	    allocs/op per benchmark) to the given file.
 //
+//	    The snapshot carries a host block: CPU model, nproc, GOAMD64,
+//	    the Go version, and the state of every probe-gated fast path
+//	    (channel.Probes plus fastmath's SincosExact and LanesExact).
+//
 //	benchstatus -check -baseline BENCH_pr5.json [-tol 0.35]
 //	    Run the benchmarks and compare against the committed baseline.
 //	    A benchmark regresses when its allocs/op or B/op exceed the
@@ -18,7 +22,10 @@
 //	    allocation jitter on the long end-to-end benches; see
 //	    allocTolFrac), or when its ns/op exceeds baseline*(1+tol)
 //	    (tolerance absorbs machine-to-machine and run-to-run timing
-//	    noise).
+//	    noise). When the baseline's host block differs from this host's
+//	    it prints a warning naming the differing fields, since ns/op
+//	    then compares different machines or different fast paths;
+//	    baselines without a host block are accepted as they are.
 //
 //	benchstatus -compare [-md] OLD.json NEW.json
 //	    Diff two committed snapshots without running anything: a
@@ -48,9 +55,13 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
+
+	"mobiwlan/internal/channel"
+	"mobiwlan/internal/fastmath"
 )
 
 // defaultBench selects the hot-path micro-benchmarks: the channel/CSI
@@ -66,9 +77,23 @@ type Snapshot struct {
 	Schema string `json:"schema"`
 	// Bench is the -bench regexp the snapshot was taken with.
 	Bench string `json:"bench"`
+	// Host fingerprints the machine and build the snapshot was taken
+	// on; nil in snapshots that predate it.
+	Host *Host `json:"host,omitempty"`
 	// Benchmarks maps benchmark name (sans -GOMAXPROCS suffix) to its
 	// measured cost.
 	Benchmarks map[string]Result `json:"benchmarks"`
+}
+
+// Host is the fingerprint of a snapshot's machine and build.
+type Host struct {
+	CPU       string `json:"cpu"`
+	NProc     int    `json:"nproc"`
+	GOAMD64   string `json:"goamd64"`
+	GoVersion string `json:"go_version"`
+	// Probes maps each probe-gated fast path to whether its init-time
+	// probe passed.
+	Probes map[string]bool `json:"probes"`
 }
 
 // Result is the cost of one benchmark.
@@ -144,7 +169,9 @@ func run(args []string, stdout, stderr *os.File) int {
 		return 2
 	}
 
+	host := currentHost()
 	if *out != "" {
+		snap.Host = &host
 		if err := writeSnapshot(*out, snap); err != nil {
 			_, _ = fmt.Fprintf(stderr, "benchstatus: %v\n", err)
 			return 2
@@ -157,6 +184,12 @@ func run(args []string, stdout, stderr *os.File) int {
 			_, _ = fmt.Fprintf(stderr, "benchstatus: %v\n", err)
 			return 2
 		}
+		if base.Host != nil {
+			if diffs := hostDiff(*base.Host, host); len(diffs) > 0 {
+				_, _ = fmt.Fprintf(stdout, "warning: host differs from %s, ns/op compares different setups: %s\n",
+					*baseline, strings.Join(diffs, "; "))
+			}
+		}
 		regressions := compare(base, snap, *tol)
 		report(stdout, base, snap, *tol)
 		if len(regressions) > 0 {
@@ -166,6 +199,79 @@ func run(args []string, stdout, stderr *os.File) int {
 		_, _ = fmt.Fprintf(stdout, "ok: no regressions vs %s (ns tolerance %.0f%%)\n", *baseline, *tol*100)
 	}
 	return 0
+}
+
+// currentHost fingerprints this machine and the toolchain that builds
+// the benchmarks. The probe states are read in this process, which the
+// same toolchain and environment built.
+func currentHost() Host {
+	h := Host{CPU: cpuModel(), NProc: runtime.NumCPU(), Probes: map[string]bool{}}
+	if out, err := exec.Command("go", "env", "GOAMD64", "GOVERSION").Output(); err == nil {
+		if f := strings.Split(strings.TrimSpace(string(out)), "\n"); len(f) == 2 {
+			h.GOAMD64, h.GoVersion = f[0], f[1]
+		}
+	}
+	for name, ok := range channel.Probes() {
+		h.Probes["channel."+name] = ok
+	}
+	h.Probes["fastmath.SincosExact"] = fastmath.SincosExact
+	h.Probes["fastmath.LanesExact"] = fastmath.LanesExact
+	return h
+}
+
+// cpuModel returns the first "model name" of /proc/cpuinfo, or GOARCH
+// where that file does not exist.
+func cpuModel() string {
+	data, err := os.ReadFile("/proc/cpuinfo")
+	if err == nil {
+		for _, line := range strings.Split(string(data), "\n") {
+			if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+				return strings.TrimSpace(v)
+			}
+		}
+	}
+	return runtime.GOARCH
+}
+
+// hostDiff lists the fields in which two fingerprints differ, as
+// "field: base -> cur", probes in name order.
+func hostDiff(base, cur Host) []string {
+	var out []string
+	field := func(name, b, c string) {
+		if b != c {
+			out = append(out, fmt.Sprintf("%s: %s -> %s", name, b, c))
+		}
+	}
+	field("cpu", base.CPU, cur.CPU)
+	field("nproc", strconv.Itoa(base.NProc), strconv.Itoa(cur.NProc))
+	field("goamd64", base.GOAMD64, cur.GOAMD64)
+	field("go_version", base.GoVersion, cur.GoVersion)
+	names := map[string]bool{}
+	for name := range base.Probes {
+		names[name] = true
+	}
+	for name := range cur.Probes {
+		names[name] = true
+	}
+	sorted := make([]string, 0, len(names))
+	for name := range names {
+		sorted = append(sorted, name)
+	}
+	sort.Strings(sorted)
+	for _, name := range sorted {
+		b, inBase := base.Probes[name]
+		c, inCur := cur.Probes[name]
+		field(name, probeState(b, inBase), probeState(c, inCur))
+	}
+	return out
+}
+
+// probeState renders one probe for hostDiff.
+func probeState(ok, present bool) string {
+	if !present {
+		return "absent"
+	}
+	return strconv.FormatBool(ok)
 }
 
 // moduleRoot locates the directory holding go.mod via the go tool, so the

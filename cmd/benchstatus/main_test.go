@@ -154,3 +154,47 @@ func TestCompareModeEndToEnd(t *testing.T) {
 		t.Fatalf("bad-schema compare exit %d, want 2", code)
 	}
 }
+
+// TestHostDiff pins the fingerprint comparison -check warns with: equal
+// hosts are silent, and each differing field or probe (including one
+// present on only one side) is named once, probes in name order.
+func TestHostDiff(t *testing.T) {
+	base := Host{CPU: "A", NProc: 2, GOAMD64: "v1", GoVersion: "go1.24.0",
+		Probes: map[string]bool{"fastmath.LanesExact": true, "channel.pow4OK": true}}
+	if d := hostDiff(base, base); len(d) != 0 {
+		t.Fatalf("identical hosts differ: %v", d)
+	}
+	cur := Host{CPU: "B", NProc: 2, GOAMD64: "v3", GoVersion: "go1.24.0",
+		Probes: map[string]bool{"fastmath.LanesExact": false, "fastmath.SincosExact": true, "channel.pow4OK": true}}
+	want := []string{
+		"cpu: A -> B",
+		"goamd64: v1 -> v3",
+		"fastmath.LanesExact: true -> false",
+		"fastmath.SincosExact: absent -> true",
+	}
+	if got := hostDiff(base, cur); strings.Join(got, "|") != strings.Join(want, "|") {
+		t.Fatalf("hostDiff = %q, want %q", got, want)
+	}
+}
+
+// TestCurrentHostFingerprint checks the live fingerprint names every
+// probe-gated fast path, and that committed snapshots without a host
+// block still load (with a nil Host, which -check skips).
+func TestCurrentHostFingerprint(t *testing.T) {
+	h := currentHost()
+	for _, name := range []string{"channel.fusedSweepOK", "channel.pow4OK", "channel.pow075Exact", "fastmath.SincosExact", "fastmath.LanesExact"} {
+		if _, ok := h.Probes[name]; !ok {
+			t.Errorf("host fingerprint lacks probe %s: %v", name, h.Probes)
+		}
+	}
+	if h.CPU == "" || h.NProc < 1 {
+		t.Errorf("incomplete fingerprint %+v", h)
+	}
+	snap, err := readSnapshot(filepath.Join("..", "..", "BENCH_pr10.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.Host != nil {
+		t.Fatalf("BENCH_pr10.json predates host blocks but parsed one: %+v", snap.Host)
+	}
+}

@@ -574,8 +574,16 @@ func (m *Model) MeasureInto(t float64, h *csi.Matrix) Sample {
 	rms := math.Sqrt(h.AvgPower())
 	sigma := rms * m.csiNoiseScale / math.Sqrt2
 	data := h.Data()
-	for i := range data {
-		data[i] += complex(m.noise.Gaussian(0, sigma), m.noise.Gaussian(0, sigma))
+	// Batched draw: NormFill consumes the stream exactly as per-entry
+	// Gaussian(0, sigma) calls would (real, then imaginary, per entry).
+	var noise [128]float64
+	for len(data) > 0 {
+		n := min(len(data), len(noise)/2)
+		m.noise.NormFill(noise[:2*n], 0, sigma)
+		for i := range data[:n] {
+			data[i] += complex(noise[2*i], noise[2*i+1])
+		}
+		data = data[n:]
 	}
 	rssi := m.rssiFrom(h)
 	return Sample{

@@ -76,6 +76,13 @@ var pow075Exact = func() bool {
 	return true
 }()
 
+// Probes reports the kernel's init-time fast-path gates by name, for
+// host fingerprints: two timings compare only when the same fast paths
+// were on.
+func Probes() map[string]bool {
+	return map[string]bool{"fusedSweepOK": fusedSweepOK, "pow4OK": pow4OK, "pow075Exact": pow075Exact}
+}
+
 // fillLegs computes the client-independent (AP-side) and client-dependent
 // antenna-leg distances for every bounce path in paths[lo:]. A bounce
 // length is txPos.Dist(via) + via.Dist(rxPos); each Dist result depends
@@ -185,28 +192,22 @@ func (m *Model) phasorPass(amps, lens []float64, ph0, rot []complex128, idx []in
 	// the reference's order, so the angle is bit-identical.
 	k0 := -2 * math.Pi * m.f0
 	kd := -2 * math.Pi * m.df
-	if fastmath.SincosExact {
-		// Branchless transcription of math.Sincos (fastmath): same bits,
-		// no octant mispredicts, and consecutive calls overlap.
-		for i := 0; i < n; i++ {
-			pi := idx[i]
+	// Gather both angles of up to 64 paths, run them through the
+	// batched Sincos (same bits as math.Sincos), scatter back.
+	var ang, sin, cos [128]float64
+	for lo := 0; lo < n; lo += len(ang) / 2 {
+		chunk := idx[lo:min(n, lo+len(ang)/2)]
+		for i, pi := range chunk {
 			length := lens[pi]
-			amp := amps[pi]
-			s0, c0 := fastmath.Sincos(k0 * length / SpeedOfLight)
-			sd, cd := fastmath.Sincos(kd * length / SpeedOfLight)
-			ph0[pi] = complex(amp*c0, amp*s0)
-			rot[pi] = complex(cd, sd)
+			ang[2*i] = k0 * length / SpeedOfLight
+			ang[2*i+1] = kd * length / SpeedOfLight
 		}
-		return
-	}
-	for i := 0; i < n; i++ {
-		pi := idx[i]
-		length := lens[pi]
-		amp := amps[pi]
-		s0, c0 := math.Sincos(k0 * length / SpeedOfLight)
-		sd, cd := math.Sincos(kd * length / SpeedOfLight)
-		ph0[pi] = complex(amp*c0, amp*s0)
-		rot[pi] = complex(cd, sd)
+		fastmath.SincosSlice(ang[:2*len(chunk)], sin[:], cos[:])
+		for i, pi := range chunk {
+			amp := amps[pi]
+			ph0[pi] = complex(amp*cos[2*i], amp*sin[2*i])
+			rot[pi] = complex(cos[2*i+1], sin[2*i+1])
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"mobiwlan/internal/csi"
+	"mobiwlan/internal/fastmath"
 	"mobiwlan/internal/mobility"
 	"mobiwlan/internal/stats"
 )
@@ -43,10 +44,10 @@ type sweepLoss struct {
 //
 //   - uncached: the scalar per-call reference (DisableCache)
 //   - cached: the batched kernel as built (fused on capable hardware)
-//   - fallback: the batched kernel with the fused sweep forced off,
-//     so the AVX2 kernel and the Go chain sweep are compared against
-//     each other on every fused-eligible cell, not just against the
-//     reference
+//   - fallback: the batched kernel with the fused sweep and the
+//     four-lane Sincos forced off, so the AVX2 kernels and the Go paths
+//     are compared against each other on every fused-eligible cell, not
+//     just against the reference
 //
 // Modes rotate per cell so the series exercises evalDirect (client
 // motion), evalIncremental (scatterer-only motion) and the epoch fast
@@ -107,7 +108,7 @@ func TestKernelEquivalenceSweep(t *testing.T) {
 				for _, tt := range times {
 					hc = cached.ResponseInto(tt, hc)
 					hu = uncached.ResponseInto(tt, hu)
-					hf = fallback.ResponseInto(tt, hf)
+					withoutLanes(func() { hf = fallback.ResponseInto(tt, hf) })
 					requireSameBits(t, cell+" cached-vs-uncached", tt, hc, hu)
 					requireSameBits(t, cell+" fallback-vs-uncached", tt, hf, hu)
 				}
@@ -155,4 +156,51 @@ func TestPow075MatchesPow(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestMeasureIntoLanesMatchScalar pins the batched noise draw and the
+// batched phasor pass to the scalar code behind them: two models built
+// from one seed, one run with the AVX2 lanes forced off, must emit
+// bit-identical CSI estimates and RSSI readings over a seeded stream
+// that alternates the pending Box-Muller spare (each RSSI draw flips it)
+// across shapes whose noise lengths are odd and even multiples of the
+// fill chunk.
+func TestMeasureIntoLanesMatchScalar(t *testing.T) {
+	shapes := []sweepShape{{52, 3, 2}, {30, 3, 1}, {8, 1, 1}, {64, 4, 4}}
+	modes := []mobility.Mode{mobility.Environmental, mobility.Macro, mobility.Micro}
+	for si, shape := range shapes {
+		for mi, mode := range modes {
+			cfg := DefaultConfig()
+			cfg.Subcarriers = shape.sub
+			cfg.NTx, cfg.NRx = shape.ntx, shape.nrx
+			seed := uint64(77 + 10*si + mi)
+			build := func() *Model {
+				scen := mobility.NewScenario(mode, mobility.DefaultSceneConfig(), stats.NewRNG(seed))
+				return New(cfg, scen, stats.NewRNG(seed+1000))
+			}
+			fast, scalar := build(), build()
+			var hf, hs *csi.Matrix
+			for step := 0; step < 40; step++ {
+				tt := float64(step/2) * 0.05 // each instant twice: cached responses too
+				sf := fast.MeasureInto(tt, hf)
+				var ss Sample
+				withoutLanes(func() { ss = scalar.MeasureInto(tt, hs) })
+				hf, hs = sf.CSI, ss.CSI
+				cell := fmt.Sprintf("%dx%dx%d/%v", shape.sub, shape.ntx, shape.nrx, mode)
+				requireSameBits(t, cell+" lanes-vs-scalar", tt, hf, hs)
+				if math.Float64bits(sf.RSSIdBm) != math.Float64bits(ss.RSSIdBm) {
+					t.Fatalf("%s t=%v: RSSI %v with lanes, %v without", cell, tt, sf.RSSIdBm, ss.RSSIdBm)
+				}
+			}
+		}
+	}
+}
+
+// withoutLanes runs f with fastmath's AVX2 lanes forced off, so the
+// scalar code behind SincosSlice and NormFill computes its results.
+func withoutLanes(f func()) {
+	probed := fastmath.LanesExact
+	fastmath.LanesExact = false
+	defer func() { fastmath.LanesExact = probed }()
+	f()
 }

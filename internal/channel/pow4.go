@@ -1,170 +1,20 @@
 package channel
 
-import "math"
+import (
+	"math"
 
-// This file provides a four-lane batched pow075 for the breakpoint pass.
-//
-// The scalar pow075 spends nearly all of its time inside math.Log and
-// math.Exp, whose dependency chains are long enough that the CPU's
-// out-of-order window cannot overlap two consecutive pow075 calls — the
-// breakpoint pass was paying full serial latency per path. The functions
-// here are operation-for-operation Go transcriptions of the exact code
-// Go's math package runs on amd64 (the SLEEF-derived archExp in its FMA
-// variant, via math.FMA, which is bit-exact fused multiply-add on every
-// platform; and archLog, which is plain IEEE multiply/add/divide
-// throughout), with four independent lanes interleaved by hand so the
-// four Log→Exp chains run concurrently.
-//
-// Bit-identity is empirical, not assumed: pow4OK is established at init
-// by probing log4/exp4 lane outputs against math.Log/math.Exp across
-// magnitudes, specials and denormals. On any platform where the
-// transcription does not match the local math package bit-for-bit
-// (non-amd64 ports, or a non-FMA archExp), pow4OK stays false and the
-// breakpoint pass uses scalar pow075, which always matches by
-// construction. Lanes never interact: each output is a pure function of
-// its own input, so quad grouping cannot change a single bit.
-
-// Constants from math's exp_amd64.s / log_amd64.s, parsed from the same
-// decimal literals the assembler rounds to the same float64 values.
-const (
-	expLOG2E    = 1.4426950408889634073599246810018920
-	expLN2U     = 0.69314718055966295651160180568695068359375
-	expLN2L     = 0.28235290563031577122588448175013436025525412068e-12
-	expOverflow = 7.09782712893384e+02
-
-	expC2 = 1.6666666666666666667e-1
-	expC3 = 4.1666666666666666667e-2
-	expC4 = 8.3333333333333333333e-3
-	expC5 = 1.3888888888888888889e-3
-	expC6 = 1.9841269841269841270e-4
-	expC7 = 2.4801587301587301587e-5
-
-	logHSqrt2 = 7.07106781186547524401e-01
-	logLn2Hi  = 6.93147180369123816490e-01
-	logLn2Lo  = 1.90821492927058770002e-10
-	logL1     = 6.666666666666735130e-01
-	logL2     = 3.999999999940941908e-01
-	logL3     = 2.857142874366239149e-01
-	logL4     = 2.222219843214978396e-01
-	logL5     = 1.818357216161805012e-01
-	logL6     = 1.531383769920937332e-01
-	logL7     = 1.479819860511658591e-01
+	"mobiwlan/internal/fastmath"
 )
 
-// logLane is archLog transcribed: the same bit-level Frexp (including its
-// treatment of denormals), the same branchless-in-effect Sqrt2/2
-// adjustment (the branch arms compute k-1.0 / f1*2.0, exactly the values
-// the assembly's mask selects), and the same polynomial and reconstruction
-// operation order.
-func logLane(x float64) float64 {
-	bits := math.Float64bits(x)
-	if bits&^(1<<63) == 0 {
-		return math.Inf(-1)
-	}
-	if int64(bits) < 0 {
-		return math.NaN()
-	}
-	if bits >= 0x7FF0000000000000 {
-		return x // +Inf or NaN
-	}
-	f1 := math.Float64frombits(bits&0x000FFFFFFFFFFFFF | 0x3FE0000000000000)
-	k := float64(int32(bits>>52&0x7FF) - 0x3FE)
-	if f1 <= logHSqrt2 {
-		k -= 1
-		f1 *= 2
-	}
-	f := f1 - 1
-	s := f / (2 + f)
-	s2 := s * s
-	s4 := s2 * s2
-	t1 := s2 * (((logL7*s4+logL5)*s4+logL3)*s4 + logL1)
-	t2 := s4 * ((logL6*s4+logL4)*s4 + logL2)
-	r := t1 + t2
-	hfsq := 0.5 * f * f
-	return k*logLn2Hi - ((hfsq - (s*(hfsq+r) + k*logLn2Lo)) - f)
-}
+// This file provides a four-lane batched pow075 for the breakpoint pass.
+// A scalar pow075's Log→Exp chain is too long for the out-of-order window
+// to overlap two calls; pow075x4 interleaves four chains by hand, over
+// fastmath's exact Log/Exp transcriptions. Lanes never interact, so quad
+// grouping cannot change a single bit.
 
-// expLane is archExp's FMA variant transcribed: round-to-nearest exponent
-// split, fused Cody-Waite reduction, the fused polynomial, three
-// fr*(2+fr) doublings with the fourth fused with the final +1, and the
-// same two-step denormal ldexp tail.
-func expLane(x float64) float64 {
-	bits := math.Float64bits(x)
-	if bits&^(1<<63) >= 0x7FF0000000000000 {
-		if bits == math.Float64bits(math.Inf(-1)) {
-			return 0
-		}
-		return x // NaN or +Inf
-	}
-	if x > expOverflow {
-		return math.Inf(1)
-	}
-	k := int32(math.RoundToEven(expLOG2E * x))
-	kf := float64(k)
-	z := math.FMA(-expLN2U, kf, x)
-	z = math.FMA(-expLN2L, kf, z)
-	z *= 0.0625
-	p := expC7
-	p = math.FMA(p, z, expC6)
-	p = math.FMA(p, z, expC5)
-	p = math.FMA(p, z, expC4)
-	p = math.FMA(p, z, expC3)
-	p = math.FMA(p, z, expC2)
-	p = math.FMA(p, z, 0.5)
-	p = math.FMA(p, z, 1.0)
-	fr := z * p
-	fr = fr * (2 + fr)
-	fr = fr * (2 + fr)
-	fr = fr * (2 + fr)
-	fr = math.FMA(fr, 2+fr, 1.0)
-	return expLdexp(fr, k)
-}
-
-// expLdexp is archExp's ldexp tail: bias, the denormal split (scale by
-// 2^(k+1022) then 2^-1022 so the last multiply performs the one rounding
-// into the denormal), and the overflow/underflow exits.
-func expLdexp(fr float64, k int32) float64 {
-	bx := k + 0x3FF
-	if bx <= 0 {
-		if bx < -52 {
-			return 0
-		}
-		bx += 0x3FE
-		fr *= math.Float64frombits(uint64(bx) << 52)
-		return fr * math.Float64frombits(1<<52) // 2^-1022
-	}
-	if bx >= 0x7FF {
-		return math.Inf(1)
-	}
-	return fr * math.Float64frombits(uint64(bx)<<52)
-}
-
-// pow4OK gates the quad breakpoint path: true only when the lane
-// transcriptions reproduce this platform's math.Log and math.Exp
-// bit-for-bit across a probe sweep of magnitudes, breakpoint-typical
-// ratios, specials and denormals.
-var pow4OK = func() bool {
-	probes := []float64{
-		0, math.Copysign(0, -1), 1, -1, math.Inf(1), math.Inf(-1), math.NaN(),
-		5e-324, 1e-310, math.MaxFloat64, 709, 710, -745, -746,
-	}
-	x := 1e-12
-	for i := 0; i < 600; i++ {
-		probes = append(probes, x, -x)
-		x *= 1.1
-	}
-	for _, p := range probes {
-		l, e := logLane(p), expLane(p)
-		wl, we := math.Log(p), math.Exp(p)
-		if math.Float64bits(l) != math.Float64bits(wl) && !(math.IsNaN(l) && math.IsNaN(wl)) {
-			return false
-		}
-		if math.Float64bits(e) != math.Float64bits(we) && !(math.IsNaN(e) && math.IsNaN(we)) {
-			return false
-		}
-	}
-	return true
-}()
+// pow4OK gates the quad breakpoint path: fastmath's Log/Exp lanes must
+// reproduce this platform's math.Log and math.Exp bit-for-bit.
+var pow4OK = fastmath.LogExpExact
 
 // pow075x4 computes pow075 of four independent inputs with the Log and
 // Exp stages interleaved across lanes, so the four serial Log→Exp
@@ -184,16 +34,16 @@ func pow075x4(x0, x1, x2, x3 float64) (y0, y1, y2, y3 float64) {
 	// Log stage, interleaved. Specials cannot occur for the breakpoint's
 	// positive finite ratios, but each lane still runs the full archLog
 	// transcription, so any input produces the scalar result.
-	l0 := logLane(x0)
-	l1 := logLane(x1)
-	l2 := logLane(x2)
-	l3 := logLane(x3)
+	l0 := fastmath.Log(x0)
+	l1 := fastmath.Log(x1)
+	l2 := fastmath.Log(x2)
+	l3 := fastmath.Log(x3)
 
 	// Exp stage on -0.25*log, interleaved.
-	a0 := expLane(-0.25 * l0)
-	a1 := expLane(-0.25 * l1)
-	a2 := expLane(-0.25 * l2)
-	a3 := expLane(-0.25 * l3)
+	a0 := fastmath.Exp(-0.25 * l0)
+	a1 := fastmath.Exp(-0.25 * l1)
+	a2 := fastmath.Exp(-0.25 * l2)
+	a3 := fastmath.Exp(-0.25 * l3)
 
 	a0 *= m0
 	a1 *= m1

@@ -343,6 +343,18 @@ func (s *Server) SessionStats(apID string) (received, processed, dropped, outDro
 	return sess.received.Load(), sess.processed.Load(), sess.dropped.Load(), sess.outDrops.Load(), true
 }
 
+// ShardQueueLens reports how many reports wait in each shard's queue,
+// in shard order (each queue holds Config.QueueDepth): next to the
+// session counters, the view that tells a stalled shard from a producer
+// that never sent.
+func (s *Server) ShardQueueLens() []int {
+	out := make([]int, len(s.shards))
+	for i, sh := range s.shards {
+		out[i] = len(sh.in)
+	}
+	return out
+}
+
 func (s *Server) logf(format string, args ...any) {
 	if s.Logf != nil {
 		s.Logf(format, args...)

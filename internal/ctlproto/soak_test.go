@@ -29,7 +29,12 @@ func soakCfg() loadgen.Config {
 	}
 }
 
-const soakFanout = 8
+const (
+	soakFanout = 8
+	// soakQueueDepth sizes each shard queue so the soak cannot legally
+	// drop: ~250 clients per shard, ≤ 41 routed messages per client.
+	soakQueueDepth = 16384
+)
 
 // runSoak replays the fleet against a fresh sharded controller with
 // `jobs` generator workers and returns the rendered decision log plus
@@ -44,11 +49,10 @@ func runSoak(t *testing.T, cfg loadgen.Config, jobs int) (string, loadgen.Stats)
 	coord.MaxFanout = soakFanout
 	coord.Met = ctlproto.NewMetrics(reg, nil)
 	coord.Log = log
-	// Queue depths sized so the soak cannot legally drop: ~250 clients
-	// per shard, ≤ 41 routed messages per client, 16384 slots per shard.
+	// Queue depths sized so the soak cannot legally drop (soakQueueDepth).
 	srv, err := ctlproto.NewServerConfig("127.0.0.1:0", coord, ctlproto.Config{
 		Shards:         8,
-		QueueDepth:     16384,
+		QueueDepth:     soakQueueDepth,
 		SendQueueDepth: 256,
 		Policy:         ctlproto.PolicyDrop,
 	})
@@ -64,7 +68,7 @@ func runSoak(t *testing.T, cfg loadgen.Config, jobs int) (string, loadgen.Stats)
 	if err := eng.Connect(); err != nil {
 		t.Fatal(err)
 	}
-	waitFor(t, "fleet registered", func() bool { return len(srv.APs()) == cfg.APs })
+	waitForShards(t, srv, soakQueueDepth, "fleet registered", func() bool { return len(srv.APs()) == cfg.APs })
 
 	eng.Stream(jobs, loadgen.Hooks{
 		Timeout: func(d float64) <-chan struct{} {
@@ -82,7 +86,7 @@ func runSoak(t *testing.T, cfg loadgen.Config, jobs int) (string, loadgen.Stats)
 	// Let the pipeline drain, then check conservation per session while
 	// the sessions are still registered.
 	wantRouted := stats.ReportsSent + stats.RequestsAnswered
-	waitFor(t, "pipeline drained", func() bool {
+	waitForShards(t, srv, soakQueueDepth, "pipeline drained", func() bool {
 		return uint64(reg.Counter("ctlproto.shard.processed").Value()) == wantRouted
 	})
 	for _, ap := range srv.APs() {
@@ -177,13 +181,28 @@ func TestSoakShardedFleet(t *testing.T) {
 	}
 }
 
-// waitFor polls cond for up to 30 s (fleet registration on one core can
-// be slow under -race).
-func waitFor(tb testing.TB, what string, cond func() bool) {
+// waitForShards polls cond for up to 30 s (fleet registration on one
+// core can be slow under -race). On timeout it logs the sessions'
+// summed conservation counters and every shard's queue fill before
+// failing, so a stalled shard (received > processed, reports waiting)
+// reads differently from a producer that never sent (received ==
+// processed, queues empty).
+func waitForShards(tb testing.TB, srv *ctlproto.Server, queueDepth int, what string, cond func() bool) {
 	tb.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for !cond() {
 		if time.Now().After(deadline) {
+			var recv, proc, drop, outDrop uint64
+			aps := srv.APs()
+			for _, ap := range aps {
+				r, p, d, o, _ := srv.SessionStats(ap)
+				recv, proc, drop, outDrop = recv+r, proc+p, drop+d, outDrop+o
+			}
+			tb.Logf("%d sessions: received %d, processed %d, dropped %d, outbound shed %d",
+				len(aps), recv, proc, drop, outDrop)
+			for i, n := range srv.ShardQueueLens() {
+				tb.Logf("shard %d: queue %d/%d", i, n, queueDepth)
+			}
 			tb.Fatalf("timed out waiting for %s", what)
 		}
 		time.Sleep(5 * time.Millisecond)

@@ -1,5 +1,8 @@
-// Package fastmath provides a branchless transcription of the Go math
-// package's portable Sincos for simulation hot paths.
+// Package fastmath provides bit-exact transcriptions of Go math
+// functions for simulation hot paths: a branchless Sincos (this file),
+// Log/Exp in interleavable Go (logexp.go), and four-lane AVX2 Sincos and
+// Box-Muller kernels (lanes.go). Each is gated by an init-time probe
+// against the library and falls back to it where the probe fails.
 //
 // The library's portable Sin, Cos and Sincos share one algorithm: octant
 // reduction j = x/(Pi/4), extended-precision Cody-Waite argument
@@ -120,6 +123,23 @@ func Sincos(x float64) (sin, cos float64) {
 // a probe sweep of octant boundaries, magnitudes spanning the
 // simulator's angle domains, specials and denormals.
 var SincosExact = func() bool {
+	for _, p := range sincosProbes() {
+		s, c := Sincos(p)
+		ws, wc := math.Sincos(p)
+		// Sin/Cos must agree with Sincos on this platform for the RNG's
+		// separate calls to be substitutable.
+		if !sameBits(s, ws) || !sameBits(c, wc) || !sameBits(math.Sin(p), ws) || !sameBits(math.Cos(p), wc) {
+			return false
+		}
+	}
+	return true
+}()
+
+// sincosProbes is the probe set behind SincosExact and LanesExact:
+// specials, denormals, the reduction threshold, octant boundaries with
+// nudges, a magnitude sweep from denormal territory past the threshold,
+// and dense sweeps over both hot-path angle domains.
+func sincosProbes() []float64 {
 	probes := []float64{
 		0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
 		5e-324, -5e-324, 1e-310, -1e-310,
@@ -145,24 +165,11 @@ var SincosExact = func() bool {
 	for i := 0; i < 1000; i++ {
 		probes = append(probes, float64(i)*(2*math.Pi/1000))
 	}
-	for _, p := range probes {
-		s, c := Sincos(p)
-		ws, wc := math.Sincos(p)
-		if math.Float64bits(s) != math.Float64bits(ws) && !(math.IsNaN(s) && math.IsNaN(ws)) {
-			return false
-		}
-		if math.Float64bits(c) != math.Float64bits(wc) && !(math.IsNaN(c) && math.IsNaN(wc)) {
-			return false
-		}
-		// Sin/Cos must agree with Sincos on this platform for the RNG's
-		// separate calls to be substitutable.
-		ss, sc2 := math.Sin(p), math.Cos(p)
-		if math.Float64bits(ss) != math.Float64bits(ws) && !(math.IsNaN(ss) && math.IsNaN(ws)) {
-			return false
-		}
-		if math.Float64bits(sc2) != math.Float64bits(wc) && !(math.IsNaN(sc2) && math.IsNaN(wc)) {
-			return false
-		}
-	}
-	return true
-}()
+	return probes
+}
+
+// sameBits reports whether a and b are the same float64, bit for bit,
+// counting any two NaNs as equal (payloads are not part of the contract).
+func sameBits(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+}

@@ -34,7 +34,8 @@ type Stats struct {
 	Triggers uint64
 	// DirectivesReceived counts roam directives observed.
 	DirectivesReceived uint64
-	// RequestsAnswered counts measure requests answered.
+	// RequestsAnswered counts measure requests answered (counted as
+	// each answer is sent, so it is complete once Stream returns).
 	RequestsAnswered uint64
 	// Timeouts counts rounds abandoned by the directive-wait timeout.
 	Timeouts uint64
@@ -112,11 +113,16 @@ func (e *Engine) respond(i int) {
 				e.errors.Add(1)
 				continue
 			}
-			if err := conn.ReportMeasurement(MeasureAnswer(conn.ID, req)); err != nil {
-				e.errors.Add(1)
-				continue
-			}
+			// Count before sending: the answer can complete a round,
+			// and the round's directive can end Stream, before this
+			// goroutine runs again, so counting after the write let a
+			// Stats snapshot taken when Stream returns miss it. A failed
+			// send is taken back out, so the count stays answers sent.
 			e.answered.Add(1)
+			if err := conn.ReportMeasurement(MeasureAnswer(conn.ID, req)); err != nil {
+				e.answered.Add(^uint64(0))
+				e.errors.Add(1)
+			}
 		case ctlproto.TypeRoamDirective:
 			d, err := ctlproto.DecodePayload[ctlproto.RoamDirective](env)
 			if err != nil {

@@ -78,33 +78,71 @@ func (r *RNG) NormFloat64() float64 {
 		r.hasSpare = false
 		return r.spare
 	}
-	var u, v float64
+	u, v := r.boxMullerUniforms()
+	z, spare := fastmath.NormPair(u, v)
+	r.spare = spare
+	r.hasSpare = true
+	return z
+}
+
+// boxMullerUniforms draws one Box-Muller input pair: u rejects exact
+// zeros (Log(0) is -Inf), then v.
+func (r *RNG) boxMullerUniforms() (u, v float64) {
 	for {
 		u = r.Float64()
 		if u > 0 {
 			break
 		}
 	}
-	v = r.Float64()
-	mag := math.Sqrt(-2 * math.Log(u))
-	if fastmath.SincosExact {
-		// One branchless reduction serves both variates; bit-identical
-		// to the separate Sin and Cos calls below (fastmath's probe pins
-		// all three against each other), without the octant mispredicts
-		// that random angles inflict on the branchy library ladder.
-		s, c := fastmath.Sincos(2 * math.Pi * v)
-		r.spare = mag * s
-		r.hasSpare = true
-		return mag * c
-	}
-	r.spare = mag * math.Sin(2*math.Pi*v)
-	r.hasSpare = true
-	return mag * math.Cos(2*math.Pi*v)
+	return u, r.Float64()
 }
 
 // Gaussian returns a Gaussian variate with the given mean and stddev.
 func (r *RNG) Gaussian(mean, stddev float64) float64 {
 	return mean + stddev*r.NormFloat64()
+}
+
+// normChunk is NormFill's batch size in Box-Muller pairs: big enough to
+// keep the four-lane kernel busy, small enough that the uniform and
+// output buffers (2 KiB) live on the stack.
+const normChunk = 64
+
+// NormFill sets every dst[i] to a Gaussian variate with the given mean
+// and stddev, consuming the stream exactly as len(dst) successive
+// Gaussian calls would: an incoming spare variate fills dst[0], pairs are
+// drawn u then v with the same zero rejection, each pair fills two
+// consecutive entries (cosine variate first), and an odd tail leaves the
+// last pair's sine variate as the spare for the next call. Only the
+// transform is batched (fastmath.NormPairs, bit-identical to NormPair),
+// so the values are Gaussian's bit for bit.
+func (r *RNG) NormFill(dst []float64, mean, stddev float64) {
+	if r.hasSpare && len(dst) > 0 {
+		r.hasSpare = false
+		dst[0] = mean + stddev*r.spare
+		dst = dst[1:]
+	}
+	var u, v, zc, zs [normChunk]float64
+	for len(dst) > 0 {
+		pairs := min((len(dst)+1)/2, normChunk)
+		for k := 0; k < pairs; k++ {
+			u[k], v[k] = r.boxMullerUniforms()
+		}
+		fastmath.NormPairs(u[:pairs], v[:pairs], zc[:pairs], zs[:pairs])
+		full := pairs
+		if 2*pairs > len(dst) {
+			// Odd tail: the last pair's cosine variate is the final
+			// entry and its sine variate stays behind as the spare.
+			full--
+			dst[2*full] = mean + stddev*zc[full]
+			r.spare = zs[full]
+			r.hasSpare = true
+		}
+		for k := 0; k < full; k++ {
+			dst[2*k] = mean + stddev*zc[k]
+			dst[2*k+1] = mean + stddev*zs[k]
+		}
+		dst = dst[min(2*pairs, len(dst)):]
+	}
 }
 
 // Exp returns an exponential variate with the given mean. It panics if

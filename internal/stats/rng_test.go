@@ -107,6 +107,44 @@ func TestGaussianScaling(t *testing.T) {
 	}
 }
 
+// TestNormFillMatchesGaussian pins NormFill to the stream contract: for
+// odd and even lengths, with and without a spare variate pending, it
+// must produce exactly the values len(dst) Gaussian calls would and
+// leave the generator in the same state, which the trailing single draw
+// (MeasureInto's RSSI draw after its noise fill) checks.
+func TestNormFillMatchesGaussian(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 7, 127, 128, 129, 1248, 1249} {
+		for _, spare := range []bool{false, true} {
+			for _, ms := range [][2]float64{{0, 0.37}, {-2.5, 3}} {
+				seed := uint64(1000*n + 7)
+				want, got := NewRNG(seed), NewRNG(seed)
+				if spare {
+					want.NormFloat64()
+					got.NormFloat64()
+				}
+				ref := make([]float64, n)
+				for i := range ref {
+					ref[i] = want.Gaussian(ms[0], ms[1])
+				}
+				dst := make([]float64, n)
+				got.NormFill(dst, ms[0], ms[1])
+				for i := range ref {
+					if math.Float64bits(dst[i]) != math.Float64bits(ref[i]) {
+						t.Fatalf("n=%d spare=%v %v: dst[%d] = %x, Gaussian = %x",
+							n, spare, ms, i, math.Float64bits(dst[i]), math.Float64bits(ref[i]))
+					}
+				}
+				if a, b := got.Gaussian(0, 0.7), want.Gaussian(0, 0.7); math.Float64bits(a) != math.Float64bits(b) {
+					t.Fatalf("n=%d spare=%v %v: trailing draw %v, want %v", n, spare, ms, a, b)
+				}
+				if *got != *want {
+					t.Fatalf("n=%d spare=%v %v: generator state %+v, want %+v", n, spare, ms, *got, *want)
+				}
+			}
+		}
+	}
+}
+
 func TestExpMean(t *testing.T) {
 	r := NewRNG(19)
 	const n = 100000
