@@ -96,8 +96,9 @@ func TestMeasureIntoAllocFree(t *testing.T) {
 
 // TestFastmathLanesAllocFree pins the four-lane transcendental entry
 // points the channel hot path calls: the batched Sincos, the batched
-// Box-Muller transform and the NormFill stream that drives it keep
-// their scratch on the stack.
+// Box-Muller transform and the NormFill stream that drives it, and the
+// batched breakpoint power (in place, as the chain-prep pass runs it)
+// keep their scratch on the stack.
 func TestFastmathLanesAllocFree(t *testing.T) {
 	x := make([]float64, 131)
 	u := make([]float64, len(x))
@@ -108,11 +109,14 @@ func TestFastmathLanesAllocFree(t *testing.T) {
 	sin := make([]float64, len(x))
 	cos := make([]float64, len(x))
 	dst := make([]float64, 1249)
+	ratio := make([]float64, len(u))
 	rng := stats.NewRNG(5)
 	allocs := testing.AllocsPerRun(100, func() {
 		fastmath.SincosSlice(x, sin, cos)
 		fastmath.NormPairs(u, x, sin, cos)
 		rng.NormFill(dst, 0, 0.1)
+		copy(ratio, u)
+		fastmath.Pow075Slice(ratio, ratio)
 	})
 	if allocs != 0 {
 		t.Fatalf("fastmath lanes: %v allocs/op, want 0", allocs)

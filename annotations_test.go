@@ -38,7 +38,6 @@ var hotpathManifest = map[string][]hotpathPin{
 		{"internal/channel/kernel.go", "Model", "evalIncremental"},
 		{"internal/channel/kernel.go", "", "chainSweep"},
 		{"internal/channel/kernel.go", "", "chainSweepPrefixed"},
-		{"internal/channel/pow4.go", "", "pow075x4"},
 		{"internal/fastmath/fastmath.go", "", "Sincos"},
 		{"internal/channel/kernel.go", "Model", "sweepFused"},
 		{"internal/channel/chainquad_amd64.go", "", "chainQuad2"},
@@ -46,6 +45,7 @@ var hotpathManifest = map[string][]hotpathPin{
 	"TestFastmathLanesAllocFree": {
 		{"internal/fastmath/lanes_amd64.go", "", "sincos4"},
 		{"internal/fastmath/lanes_amd64.go", "", "normPairs4"},
+		{"internal/fastmath/lanes_amd64.go", "", "pow0754"},
 	},
 	"TestWorkspaceSimilarityAllocFree": {
 		{"internal/csi/csi.go", "Workspace", "Similarity"},

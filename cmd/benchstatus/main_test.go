@@ -160,12 +160,12 @@ func TestCompareModeEndToEnd(t *testing.T) {
 // present on only one side) is named once, probes in name order.
 func TestHostDiff(t *testing.T) {
 	base := Host{CPU: "A", NProc: 2, GOAMD64: "v1", GoVersion: "go1.24.0",
-		Probes: map[string]bool{"fastmath.LanesExact": true, "channel.pow4OK": true}}
+		Probes: map[string]bool{"fastmath.LanesExact": true, "channel.pow075Exact": true}}
 	if d := hostDiff(base, base); len(d) != 0 {
 		t.Fatalf("identical hosts differ: %v", d)
 	}
 	cur := Host{CPU: "B", NProc: 2, GOAMD64: "v3", GoVersion: "go1.24.0",
-		Probes: map[string]bool{"fastmath.LanesExact": false, "fastmath.SincosExact": true, "channel.pow4OK": true}}
+		Probes: map[string]bool{"fastmath.LanesExact": false, "fastmath.SincosExact": true, "channel.pow075Exact": true}}
 	want := []string{
 		"cpu: A -> B",
 		"goamd64: v1 -> v3",
@@ -182,7 +182,7 @@ func TestHostDiff(t *testing.T) {
 // block still load (with a nil Host, which -check skips).
 func TestCurrentHostFingerprint(t *testing.T) {
 	h := currentHost()
-	for _, name := range []string{"channel.fusedSweepOK", "channel.pow4OK", "channel.pow075Exact", "fastmath.SincosExact", "fastmath.LanesExact"} {
+	for _, name := range []string{"channel.fusedSweepOK", "channel.pow075Exact", "fastmath.SincosExact", "fastmath.LanesExact"} {
 		if _, ok := h.Probes[name]; !ok {
 			t.Errorf("host fingerprint lacks probe %s: %v", name, h.Probes)
 		}

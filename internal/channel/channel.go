@@ -154,7 +154,7 @@ type Model struct {
 	csiNoiseScale float64
 	// pow075OK enables the exact x^0.75 breakpoint fast path: the
 	// configured exponent must map to 0.75 and the platform's math.Pow
-	// must match pow075 bit-for-bit (see kernel.go).
+	// must match fastmath.Pow075 bit-for-bit (see kernel.go).
 	pow075OK bool
 
 	// paths is per-call scratch for the response computation (LoS plus one
@@ -167,14 +167,11 @@ type Model struct {
 	// latency-bound serial rotation into independent chains without
 	// changing a single floating-point operation or its order.
 	contribs, rots []complex128
-	// legsTx/legsRx, amps and powIdx are pass scratch for the batched
-	// kernel (kernel.go): per-antenna bounce-leg distances at
-	// [anti*nPaths+pi], per-path amplitudes, and the gathered path-index
-	// set the breakpoint/phasor passes operate on. Sized alongside the
-	// cache's per-path state.
+	// legsTx/legsRx are pass scratch for the batched kernel (kernel.go):
+	// per-antenna bounce-leg distances at [anti*nPaths+pi], sized
+	// alongside the cache's per-path state. The chain-prep pass keeps its
+	// gathers on the stack.
 	legsTx, legsRx []float64
-	amps           []float64
-	powIdx         []int32
 	// contribsP/rotsP are path-major scratch for the fused all-pairs
 	// sweep: chain row j holds every pair's value for one path at
 	// [j*nPairs+pair], so the AVX2 kernel (chainquad_amd64.s) walks all
@@ -493,8 +490,6 @@ func (m *Model) responseCached(client geom.Point, h *csi.Matrix) {
 		c.rot = make([]complex128, nPairs*nPaths)
 		m.legsTx = make([]float64, m.cfg.NTx*nPaths)
 		m.legsRx = make([]float64, m.cfg.NRx*nPaths)
-		m.amps = make([]float64, nPaths)
-		m.powIdx = make([]int32, nPaths)
 		if m.fused {
 			m.contribsP = make([]complex128, nPairs*nPaths)
 			m.rotsP = make([]complex128, nPairs*nPaths)

@@ -10,8 +10,8 @@ import (
 
 // This file holds the batched struct-of-arrays response kernel: the two
 // cache-backed evaluation strategies (direct and incremental) that replace
-// the old per-(pair, subcarrier, path) series cache, plus the exact
-// breakpoint power helper. responseUncached in channel.go stays the scalar
+// the old per-(pair, subcarrier, path) series cache, plus the chain-prep
+// pass both share. responseUncached in channel.go stays the scalar
 // reference both strategies are tested bit-for-bit against.
 //
 // Layout: all per-path cache state is struct-of-arrays, indexed
@@ -25,14 +25,15 @@ import (
 // the moving chains.
 //
 // Both strategies are organised as struct-of-arrays passes: antenna-leg
-// distances, then per-path amplitudes, then the gathered breakpoint
-// powers, then the phasor Sincos fill, then the subcarrier chain loop.
-// Splitting the per-path work this way changes no per-value operation —
-// each pass applies exactly the op subsequence the scalar reference
-// applies to that value — but it puts consecutive long-latency calls
-// (Pow's Log/Exp pair, Sincos) back to back in tight loops, so the CPU
-// overlaps their dependency chains across paths instead of serialising
-// one path's full pipeline at a time.
+// distances, then every pair's chain lengths and base amplitudes, then
+// one chain-prep pass over all pairs' (changed) chains — gathered
+// breakpoint powers, then the phasor Sincos fill — then the subcarrier
+// chain loop. Splitting the per-path work this way changes no per-value
+// operation — each pass applies exactly the op subsequence the scalar
+// reference applies to that value — but it puts the long-latency calls
+// (Pow's Log/Exp pair, Sincos) back to back in the four-lane fastmath
+// kernels, across paths and antenna pairs, instead of serialising one
+// path's full pipeline at a time.
 //
 // Bit-identity argument (see DESIGN.md, "Batched SoA response kernel"):
 // the value the uncached reference adds at subcarrier sc for path pi is
@@ -48,27 +49,15 @@ import (
 // each subcarrier's sum still adds the same values in path order — the
 // four accumulators just live across one loop body instead of four.
 
-// pow075 is math.Pow(x, 0.75) for positive finite x, as the exact
-// operation sequence math's portable pow takes for y = 0.75: Modf(0.75)
-// yields (0, 0.75), the yf > 0.5 rebalance makes (yi, yf) = (1, -0.25),
-// so the result is Exp(-0.25*Log(x)) times one squaring-loop step (a1*x1,
-// ae+xe). Skipping Pow's special-case ladder and Modf saves real time on
-// the per-path breakpoint hot path without changing a single bit.
-func pow075(x float64) float64 {
-	x1, xe := math.Frexp(x)
-	a1 := math.Exp(-0.25 * math.Log(x))
-	a1 *= x1
-	return math.Ldexp(a1, xe)
-}
-
-// pow075Exact reports whether pow075 reproduces math.Pow bit-for-bit on
-// this platform, checked once over a deterministic probe set. True
+// pow075Exact reports whether fastmath.Pow075 (the exact x^0.75
+// sequence behind fastmath.Pow075Slice) reproduces math.Pow bit-for-bit
+// on this platform, checked once over a deterministic probe set. True
 // wherever math.Pow is the portable Go implementation (everything but
 // s390x); if a platform ever diverges, the kernel falls back to math.Pow.
 var pow075Exact = func() bool {
 	x := 0.999999
 	for i := 0; i < 256; i++ {
-		if pow075(x) != math.Pow(x, 0.75) {
+		if fastmath.Pow075(x) != math.Pow(x, 0.75) {
 			return false
 		}
 		x *= 0.917
@@ -80,7 +69,7 @@ var pow075Exact = func() bool {
 // host fingerprints: two timings compare only when the same fast paths
 // were on.
 func Probes() map[string]bool {
-	return map[string]bool{"fusedSweepOK": fusedSweepOK, "pow4OK": pow4OK, "pow075Exact": pow075Exact}
+	return map[string]bool{"fusedSweepOK": fusedSweepOK, "pow075Exact": pow075Exact}
 }
 
 // fillLegs computes the client-independent (AP-side) and client-dependent
@@ -127,87 +116,85 @@ func (m *Model) fillLegs(client geom.Point, lo int) {
 	}
 }
 
-// breakpointPass multiplies the gathered breakpoint excess-loss factors
-// into amps. Each amplitude gets exactly the scalar reference's op
-// sequence — amp * pow(bp/length, (n-2)/2) when length > bp — but the
-// Pow calls for all qualifying paths run back to back, so their long
-// Log/Exp dependency chains overlap across paths.
-func (m *Model) breakpointPass(amps, lens []float64, idx []int32, n int) {
-	bp := m.cfg.PathLossBreakM
-	if m.pow075OK {
-		if pow4OK {
-			// Quad path: gather qualifying ratios four at a time so the
-			// Log→Exp chains overlap (pow4.go). Lanes are independent, so
-			// grouping changes no bits; the tail runs the scalar pow075,
-			// which the probes pin to the same outputs.
-			var rx [4]float64
-			var ri [4]int32
-			nq := 0
-			for i := 0; i < n; i++ {
-				pi := idx[i]
-				if length := lens[pi]; length > bp {
-					rx[nq] = bp / length
-					ri[nq] = pi
-					nq++
-					if nq == 4 {
-						y0, y1, y2, y3 := pow075x4(rx[0], rx[1], rx[2], rx[3])
-						amps[ri[0]] *= y0
-						amps[ri[1]] *= y1
-						amps[ri[2]] *= y2
-						amps[ri[3]] *= y3
-						nq = 0
-					}
-				}
-			}
-			for k := 0; k < nq; k++ {
-				amps[ri[k]] *= pow075(rx[k])
-			}
-			return
-		}
-		for i := 0; i < n; i++ {
-			pi := idx[i]
-			if length := lens[pi]; length > bp {
-				amps[pi] *= pow075(bp / length)
-			}
-		}
-		return
-	}
-	pe := (m.cfg.PathLossExponent - 2) / 2
-	for i := 0; i < n; i++ {
-		pi := idx[i]
-		if length := lens[pi]; length > bp {
-			amps[pi] *= math.Pow(bp/length, pe)
-		}
-	}
+// prepChunk is the chain-prep pass's stack chunk: 64 chains, whose two
+// angles each fill a 128-entry Sincos gather.
+const prepChunk = 64
+
+// chainBatch is one stack chunk of the chain-prep pass: up to prepChunk
+// chains, named by their [pair*nPaths+pi] index into the cache, with
+// their base amplitudes gain·λ/(4π)/length.
+type chainBatch struct {
+	n   int
+	ci  [prepChunk]int32
+	amp [prepChunk]float64
 }
 
-// phasorPass fills ph0/rot for the paths named by idx[:n] from their
-// cached lengths and amplitudes: the initial phasor amp·e^{-j2πf0L/c} and
-// the per-subcarrier rotation e^{-j2πΔfL/c}, exactly as cmplx.Rect
-// builds them (Sincos, then the r·cos / r·sin products; the rotation's
-// unit radius makes its products the Sincos results themselves).
-func (m *Model) phasorPass(amps, lens []float64, ph0, rot []complex128, idx []int32, n int) {
+// add queues chain ci with base amplitude amp and reports whether the
+// chunk is now full, so the caller runs the pass on it.
+func (b *chainBatch) add(ci int, amp float64) bool {
+	b.ci[b.n] = int32(ci)
+	b.amp[b.n] = amp
+	b.n++
+	return b.n == prepChunk
+}
+
+// prepChains is the chain-prep pass over one chunk: it fills the
+// memoized initial phasor and rotation (ph0, rot) of every queued chain
+// from its cached length and base amplitude, then empties the chunk.
+// Each chain gets exactly the scalar reference's op sequence: the
+// breakpoint excess loss amp * pow(bp/length, (n-2)/2) when length > bp,
+// then the initial phasor amp·e^{-j2πf0L/c} and the per-subcarrier
+// rotation e^{-j2πΔfL/c} as cmplx.Rect builds them (Sincos, then the
+// r·cos / r·sin products; the rotation's unit radius makes its products
+// the Sincos results themselves). The transcendentals run gathered
+// across the whole chunk — every antenna pair's chains together —
+// through the batched fastmath wrappers, so the wrappers' scalar ragged
+// tails come once per chunk.
+func (m *Model) prepChains(b *chainBatch) {
+	n := b.n
+	b.n = 0
+	c := &m.cache
+	ci, amp := b.ci[:n], b.amp[:n]
+	if bp := m.cfg.PathLossBreakM; bp > 0 && m.cfg.PathLossExponent > 2 {
+		var ratio [prepChunk]float64
+		var at [prepChunk]uint8
+		nr := 0
+		for i, k := range ci {
+			if length := c.lens[k]; length > bp {
+				ratio[nr] = bp / length
+				at[nr] = uint8(i)
+				nr++
+			}
+		}
+		if m.pow075OK {
+			fastmath.Pow075Slice(ratio[:nr], ratio[:nr])
+			for j, i := range at[:nr] {
+				amp[i] *= ratio[j]
+			}
+		} else {
+			pe := (m.cfg.PathLossExponent - 2) / 2
+			for j, i := range at[:nr] {
+				amp[i] *= math.Pow(ratio[j], pe)
+			}
+		}
+	}
+
 	// k0/kd fold the constant prefix of the reference's angle expression
 	// -2·π·f·length/c; the remaining ·length and /c stay separate ops in
 	// the reference's order, so the angle is bit-identical.
 	k0 := -2 * math.Pi * m.f0
 	kd := -2 * math.Pi * m.df
-	// Gather both angles of up to 64 paths, run them through the
-	// batched Sincos (same bits as math.Sincos), scatter back.
-	var ang, sin, cos [128]float64
-	for lo := 0; lo < n; lo += len(ang) / 2 {
-		chunk := idx[lo:min(n, lo+len(ang)/2)]
-		for i, pi := range chunk {
-			length := lens[pi]
-			ang[2*i] = k0 * length / SpeedOfLight
-			ang[2*i+1] = kd * length / SpeedOfLight
-		}
-		fastmath.SincosSlice(ang[:2*len(chunk)], sin[:], cos[:])
-		for i, pi := range chunk {
-			amp := amps[pi]
-			ph0[pi] = complex(amp*cos[2*i], amp*sin[2*i])
-			rot[pi] = complex(cos[2*i+1], sin[2*i+1])
-		}
+	var ang, sin, cos [2 * prepChunk]float64
+	for i, k := range ci {
+		length := c.lens[k]
+		ang[2*i] = k0 * length / SpeedOfLight
+		ang[2*i+1] = kd * length / SpeedOfLight
+	}
+	fastmath.SincosSlice(ang[:2*n], sin[:], cos[:])
+	for i, k := range ci {
+		a := amp[i]
+		c.ph0[k] = complex(a*cos[2*i], a*sin[2*i])
+		c.rot[k] = complex(cos[2*i+1], sin[2*i+1])
 	}
 }
 
@@ -224,29 +211,20 @@ func (m *Model) evalDirect(client geom.Point, h *csi.Matrix) {
 	nSub := m.cfg.Subcarriers
 	nPairs := m.cfg.NTx * m.cfg.NRx
 	lambdaScale := m.cfg.Wavelength() / (4 * math.Pi)
-	bpActive := m.cfg.PathLossBreakM > 0 && m.cfg.PathLossExponent > 2
 	data := h.Data()
 
+	// Lengths and base amplitudes of every pair's chains, queued for one
+	// chain-prep pass over all of them.
 	m.fillLegs(client, 0)
-	// Every path is recomputed, so the pass index set is the identity.
-	idx := m.powIdx[:nPaths]
-	for pi := range idx {
-		idx[pi] = int32(pi)
-	}
-
+	var b chainBatch
 	for txi, txOff := range m.apAnts {
 		txPos := m.ap.Add(txOff)
 		legsTx := m.legsTx[txi*nPaths : (txi+1)*nPaths]
 		for rxi, rxOff := range m.clientAnts {
 			rxPos := client.Add(rxOff)
 			legsRx := m.legsRx[rxi*nPaths : (rxi+1)*nPaths]
-			pair := txi*m.cfg.NRx + rxi
-			lens := c.lens[pair*nPaths : (pair+1)*nPaths]
-			ph0 := c.ph0[pair*nPaths : (pair+1)*nPaths]
-			rot := c.rot[pair*nPaths : (pair+1)*nPaths]
-			amps := m.amps[:nPaths]
-
-			// Lengths and base amplitudes.
+			base := (txi*m.cfg.NRx + rxi) * nPaths
+			lens := c.lens[base : base+nPaths]
 			for pi := range m.paths {
 				p := &m.paths[pi]
 				var length float64
@@ -259,33 +237,44 @@ func (m *Model) evalDirect(client geom.Point, h *csi.Matrix) {
 					length = 0.1
 				}
 				lens[pi] = length
-				amps[pi] = p.gain * lambdaScale / length
-			}
-			if bpActive {
-				m.breakpointPass(amps, lens, idx, nPaths)
-			}
-			m.phasorPass(amps, lens, ph0, rot, idx, nPaths)
-
-			if m.fused {
-				// Scatter this pair's chains into the path-major rows the
-				// fused sweep walks; the sweep itself runs after all pairs'
-				// phasors are in place.
-				for pi := 0; pi < nPaths; pi++ {
-					m.contribsP[pi*nPairs+pair] = ph0[pi]
-					m.rotsP[pi*nPairs+pair] = rot[pi]
+				if b.add(base+pi, p.gain*lambdaScale/length) {
+					m.prepChains(&b)
 				}
-				continue
 			}
-			m.contribs = append(m.contribs[:0], ph0...)
-			chainSweep(data[pair:], m.contribs, rot[:nPaths], nSub, nPairs)
 		}
 	}
+	m.prepChains(&b)
+
 	if m.fused {
+		m.scatterFused(0)
 		m.sweepFused(data, c.pref, nSub, nPairs, nPaths, 0, 0, c.shadowScale)
+	} else {
+		for pair := 0; pair < nPairs; pair++ {
+			m.contribs = append(m.contribs[:0], c.ph0[pair*nPaths:(pair+1)*nPaths]...)
+			chainSweep(data[pair:], m.contribs, c.rot[pair*nPaths:(pair+1)*nPaths], nSub, nPairs)
+		}
 	}
 	c.pathEvals += uint64(nPairs * nPaths)
 	c.prefValid = false
 	c.prefLen = 0
+}
+
+// scatterFused copies every pair's memoized chains for paths
+// [start, nPaths) into the path-major rows the fused sweep walks: chain
+// row pi-start holds all pairs' values for path pi.
+func (m *Model) scatterFused(start int) {
+	c := &m.cache
+	nPaths := len(m.paths)
+	nPairs := m.cfg.NTx * m.cfg.NRx
+	for pair := 0; pair < nPairs; pair++ {
+		ph0 := c.ph0[pair*nPaths : (pair+1)*nPaths]
+		rot := c.rot[pair*nPaths : (pair+1)*nPaths]
+		for pi := start; pi < nPaths; pi++ {
+			row := (pi - start) * nPairs
+			m.contribsP[row+pair] = ph0[pi]
+			m.rotsP[row+pair] = rot[pi]
+		}
+	}
 }
 
 // sweepFused runs the chain sweep for every antenna pair at once on the
@@ -406,31 +395,24 @@ func (m *Model) evalIncremental(client geom.Point, h *csi.Matrix) {
 		start = c.prefLen
 	}
 
+	// Re-key the suffix of every pair: (length, gain) fully determine the
+	// phasor pair — amp is a pure function of them and the fixed config.
+	// Gains are compared against the previous epoch's values (c.gains is
+	// only rewritten by commit), so every pair sees the same stale-or-fresh
+	// verdict. Changed chains of all pairs are queued for one chain-prep
+	// pass.
 	lambdaScale := m.cfg.Wavelength() / (4 * math.Pi)
-	bpActive := m.cfg.PathLossBreakM > 0 && m.cfg.PathLossExponent > 2
 	data := h.Data()
 	m.fillLegs(client, first)
+	var b chainBatch
 	for txi, txOff := range m.apAnts {
 		txPos := m.ap.Add(txOff)
 		legsTx := m.legsTx[txi*nPaths : (txi+1)*nPaths]
 		for rxi, rxOff := range m.clientAnts {
 			rxPos := client.Add(rxOff)
 			legsRx := m.legsRx[rxi*nPaths : (rxi+1)*nPaths]
-			pair := txi*m.cfg.NRx + rxi
-			lens := c.lens[pair*nPaths : (pair+1)*nPaths]
-			ph0 := c.ph0[pair*nPaths : (pair+1)*nPaths]
-			rot := c.rot[pair*nPaths : (pair+1)*nPaths]
-			pref := c.pref[pair*nSub : (pair+1)*nSub]
-			amps := m.amps[:nPaths]
-
-			// Re-key the suffix: (length, gain) fully determine the phasor
-			// pair — amp is a pure function of them and the fixed config.
-			// Gains are compared against the previous epoch's values
-			// (c.gains is only rewritten by commit), so every pair sees the
-			// same stale-or-fresh verdict. Changed paths are gathered and
-			// rebuilt by the batched passes below.
-			nb := 0
-			idx := m.powIdx[:nPaths]
+			base := (txi*m.cfg.NRx + rxi) * nPaths
+			lens := c.lens[base : base+nPaths]
 			for pi := first; pi < nPaths; pi++ {
 				p := &m.paths[pi]
 				var length float64
@@ -447,43 +429,32 @@ func (m *Model) evalIncremental(client geom.Point, h *csi.Matrix) {
 				} else {
 					c.pathEvals++
 					lens[pi] = length
-					amps[pi] = p.gain * lambdaScale / length
-					idx[nb] = int32(pi)
-					nb++
+					if b.add(base+pi, p.gain*lambdaScale/length) {
+						m.prepChains(&b)
+					}
 				}
 			}
 			c.pathReuses += uint64(first)
-			if bpActive {
-				m.breakpointPass(amps, lens, idx, nb)
-			}
-			m.phasorPass(amps, lens, ph0, rot, idx, nb)
-
-			// Gather the chains to run: memoized phasors for paths
-			// [start, first), fresh-or-reused phasors for [first, nPaths).
-			if m.fused {
-				for pi := start; pi < nPaths; pi++ {
-					rowBase := (pi - start) * nPairs
-					m.contribsP[rowBase+pair] = ph0[pi]
-					m.rotsP[rowBase+pair] = rot[pi]
-				}
-				continue
-			}
-			m.contribs = m.contribs[:0]
-			m.rots = m.rots[:0]
-			for pi := start; pi < nPaths; pi++ {
-				m.contribs = append(m.contribs, ph0[pi])
-				m.rots = append(m.rots, rot[pi])
-			}
-			chainSweepPrefixed(data[pair:], pref, m.contribs, m.rots,
-				nSub, nPairs, start, first-start)
 		}
 	}
+	m.prepChains(&b)
+
+	// Gather the chains to run: memoized phasors for paths [start, first),
+	// fresh-or-reused phasors for [first, nPaths).
 	if m.fused {
+		m.scatterFused(start)
 		seed := 0
 		if start > 0 {
 			seed = 1
 		}
 		m.sweepFused(data, c.pref, nSub, nPairs, nPaths-start, first-start, seed, c.shadowScale)
+	} else {
+		for pair := 0; pair < nPairs; pair++ {
+			m.contribs = append(m.contribs[:0], c.ph0[pair*nPaths+start:(pair+1)*nPaths]...)
+			m.rots = append(m.rots[:0], c.rot[pair*nPaths+start:(pair+1)*nPaths]...)
+			chainSweepPrefixed(data[pair:], c.pref[pair*nSub:(pair+1)*nSub], m.contribs, m.rots,
+				nSub, nPairs, start, first-start)
+		}
 	}
 	c.prefLen = first
 	c.prefValid = true

@@ -124,11 +124,12 @@ func TestKernelEquivalenceSweep(t *testing.T) {
 	t.Logf("swept %d configurations (%d fused)", nConfigs, nFused)
 }
 
-// TestPow075MatchesPow pins the scalar and quad-gathered breakpoint
-// power helpers against math.Pow bit-for-bit over the ratio domain the
-// kernel feeds them (bp/length in (0, 1]) plus magnitude extremes. The
-// init-time gates make a mismatch fall back safely; this test makes a
-// platform where the gates trip visible instead of silent.
+// TestPow075MatchesPow pins the scalar breakpoint power helper against
+// math.Pow bit-for-bit over the ratio domain the kernel feeds it
+// (bp/length in (0, 1]) plus magnitude extremes. The init-time gate makes
+// a mismatch fall back safely; this test makes a platform where the gate
+// trips visible instead of silent. (fastmath's lanes test pins the
+// four-lane kernel to the same values.)
 func TestPow075MatchesPow(t *testing.T) {
 	if !pow075Exact {
 		t.Skip("pow075 gate is off on this platform; kernel uses math.Pow")
@@ -141,19 +142,8 @@ func TestPow075MatchesPow(t *testing.T) {
 	}
 	for _, p := range probes {
 		want := math.Pow(p, 0.75)
-		if got := pow075(p); got != want {
-			t.Fatalf("pow075(%g) = %g, math.Pow = %g", p, got, want)
-		}
-	}
-	if !pow4OK {
-		t.Skip("pow075x4 gate is off on this platform")
-	}
-	for i := 0; i+4 <= len(probes); i += 4 {
-		y0, y1, y2, y3 := pow075x4(probes[i], probes[i+1], probes[i+2], probes[i+3])
-		for k, got := range []float64{y0, y1, y2, y3} {
-			if want := pow075(probes[i+k]); got != want {
-				t.Fatalf("pow075x4 lane %d at %g = %g, pow075 = %g", k, probes[i+k], got, want)
-			}
+		if got := fastmath.Pow075(p); got != want {
+			t.Fatalf("Pow075(%g) = %g, math.Pow = %g", p, got, want)
 		}
 	}
 }

@@ -37,3 +37,16 @@ TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
 no:
 	MOVB $0, ret+0(FP)
 	RET
+
+// func cpuHasFMA() bool
+//
+// CPUID.1:ECX FMA(12). Only meaningful once cpuHasAVX2 has confirmed
+// the OS saves YMM state, which FMA's VEX encodings also need.
+TEXT ·cpuHasFMA(SB), NOSPLIT, $0-1
+	MOVL  $1, AX
+	MOVL  $0, CX
+	CPUID
+	SHRL  $12, CX
+	ANDL  $1, CX
+	MOVB  CX, ret+0(FP)
+	RET

@@ -1,7 +1,7 @@
 // Package fastmath provides bit-exact transcriptions of Go math
 // functions for simulation hot paths: a branchless Sincos (this file),
-// Log/Exp in interleavable Go (logexp.go), and four-lane AVX2 Sincos and
-// Box-Muller kernels (lanes.go). Each is gated by an init-time probe
+// the fixed-exponent power Pow075, and four-lane AVX2 Sincos, Box-Muller
+// and Pow075 kernels (lanes.go). Each is gated by an init-time probe
 // against the library and falls back to it where the probe fails.
 //
 // The library's portable Sin, Cos and Sincos share one algorithm: octant

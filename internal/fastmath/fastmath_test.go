@@ -83,22 +83,3 @@ func TestSincosOctantBoundaries(t *testing.T) {
 		}
 	}
 }
-
-// TestLogExpMatchLibrary compares the Log and Exp transcriptions with
-// math.Log and math.Exp bit-for-bit over a dense sweep of magnitudes and
-// signs, beyond the init-time LogExpExact probe.
-func TestLogExpMatchLibrary(t *testing.T) {
-	if !LogExpExact {
-		t.Skip("Log/Exp gate is off on this platform; callers use the library")
-	}
-	for x := 1e-300; x < 1e300; x *= 1.0007 {
-		for _, p := range []float64{x, -x, math.Log(x)} {
-			if !sameBits(Log(p), math.Log(p)) {
-				t.Fatalf("Log(%g) = %x, math.Log = %x", p, math.Float64bits(Log(p)), math.Float64bits(math.Log(p)))
-			}
-			if !sameBits(Exp(p), math.Exp(p)) {
-				t.Fatalf("Exp(%g) = %x, math.Exp = %x", p, math.Float64bits(Exp(p)), math.Float64bits(math.Exp(p)))
-			}
-		}
-	}
-}

@@ -2,22 +2,27 @@ package fastmath
 
 import "math"
 
-// Four-lane batch forms of Sincos and of the Box-Muller pair. On amd64
-// with AVX2 the work runs in lanes_amd64.s, four inputs per instruction;
-// every lane performs exactly the scalar code's IEEE operations in the
-// scalar code's order, without FMA, so batching changes no bits (see the
-// assembly's header). Any quad holding an input outside a kernel's
-// domain, and the ragged tail of a slice, take the scalar code instead.
+// Four-lane batch forms of Sincos, of the Box-Muller pair and of the
+// breakpoint power x^0.75. On amd64 with AVX2 the work runs in
+// lanes_amd64.s, four inputs per instruction; every lane performs
+// exactly the scalar code's IEEE operations in the scalar code's order,
+// fusing a multiply-add only where the library's own assembly does, so
+// batching changes no bits (see the assembly's header). Any quad holding
+// an input outside a kernel's domain, and the ragged tail of a slice,
+// take the scalar code instead.
 
-// LanesExact gates the AVX2 kernels behind SincosSlice and NormPairs:
-// true only on an AVX2 host where Sincos is itself exact and both
-// kernels reproduce math.Sincos and math.Log bit-for-bit on a probe
-// sweep: SincosExact's probe set for the angle kernel, and for the
+// LanesExact gates the AVX2 kernels behind SincosSlice, NormPairs and
+// Pow075Slice: true only on an AVX2+FMA host where Sincos is itself
+// exact and every kernel reproduces the library bit-for-bit on a probe
+// sweep: SincosExact's probe set for the angle kernel; for the
 // Box-Muller kernel a magnitude sweep of u from the smallest denormal
 // past 1, Log's Sqrt2/2 switch points and 4096 of the RNG's 53-bit
-// uniforms, against v over [0, 1). Where it is false, SincosSlice and NormPairs run
-// the scalar code throughout.
-var LanesExact = HasAVX2 && SincosExact && lanesProbe()
+// uniforms, against v over [0, 1) (math.Log, math.Sincos); for the power
+// kernel a magnitude sweep over its whole domain, dense breakpoint
+// ratios in (0, 1] and the points where Exp's rounded exponent steps
+// (math.Pow(x, 0.75)). Where it is false, the wrappers run the scalar
+// code throughout.
+var LanesExact = HasAVX2 && hasFMA && SincosExact && lanesProbe()
 
 // SincosSlice sets sin[i], cos[i] = math.Sincos(x[i]) for every i.
 // sin and cos must be at least len(x) long.
@@ -83,7 +88,42 @@ func NormPairs(u, v, zc, zs []float64) {
 	}
 }
 
-// lanesProbe runs both kernels directly (not through the wrappers, whose
+// Pow075 is math.Pow(x, 0.75) for positive finite x, as the exact
+// operation sequence math's portable pow takes for y = 0.75: Modf(0.75)
+// yields (0, 0.75), the yf > 0.5 rebalance makes (yi, yf) = (1, -0.25),
+// so the result is Exp(-0.25*Log(x)) times one squaring-loop step (a1*x1,
+// ae+xe). Skipping Pow's special-case ladder and Modf saves real time
+// without changing a bit wherever math.Pow is that portable code; callers
+// confirm that with their own probe against math.Pow.
+func Pow075(x float64) float64 {
+	x1, xe := math.Frexp(x)
+	a1 := math.Exp(-0.25 * math.Log(x))
+	a1 *= x1
+	return math.Ldexp(a1, xe)
+}
+
+// Pow075Slice sets y[i] = Pow075(x[i]) for every i. y must be at least
+// len(x) long and may be x itself.
+func Pow075Slice(x, y []float64) {
+	n := len(x)
+	y = y[:n]
+	i := 0
+	if LanesExact {
+		for n-i >= 4 {
+			i += pow0754(&x[i], &y[i], (n-i)&^3)
+			if n-i >= 4 {
+				for end := i + 4; i < end; i++ {
+					y[i] = Pow075(x[i])
+				}
+			}
+		}
+	}
+	for ; i < n; i++ {
+		y[i] = Pow075(x[i])
+	}
+}
+
+// lanesProbe runs every kernel directly (not through the wrappers, whose
 // scalar escapes would mask a kernel bug) on in-domain probe quads and
 // compares every lane against the library.
 func lanesProbe() bool {
@@ -145,5 +185,45 @@ func lanesProbe() bool {
 			return false
 		}
 	}
+
+	px := powProbes()
+	py := make([]float64, len(px))
+	if pow0754(&px[0], &py[0], len(px)) != len(px) {
+		return false
+	}
+	for i, p := range px {
+		if !sameBits(py[i], math.Pow(p, 0.75)) {
+			return false
+		}
+	}
 	return true
+}
+
+// powProbes is the power kernel's probe set, a whole number of quads in
+// its domain [2^-1022, 2^1022): both ends and their neighbours, a
+// magnitude sweep across the domain, dense breakpoint ratios in (0, 1]
+// (bp/length for lengths past the breakpoint), and the inputs on either
+// side of each point where Exp's rounded exponent k = round(LOG2E*t),
+// t = -0.25*Log(x), steps to the next integer.
+func powProbes() []float64 {
+	x := []float64{
+		0x1p-1022, math.Nextafter(0x1p-1022, 1), math.Nextafter(0x1p1022, 0),
+		1, math.Nextafter(1, 0), 0.5, 0.75, 2,
+	}
+	for p := 0x1p-1022; p < 0x1p1022; p *= 1.37 {
+		x = append(x, p)
+	}
+	for i := 1; i <= 2048; i++ {
+		x = append(x, float64(i)/2048, 1/(1+float64(i)*0.37))
+	}
+	for k := -254; k <= 254; k++ {
+		// Log(x) = -4*(k+0.5)*Ln2 puts LOG2E*t on a half-integer; |k| <=
+		// 254 keeps x and its neighbours inside the domain.
+		b := math.Exp(-4 * (float64(k) + 0.5) * math.Ln2)
+		x = append(x, b, math.Nextafter(b, 0), math.Nextafter(b, 2))
+	}
+	for len(x)%4 != 0 {
+		x = append(x, 1)
+	}
+	return x
 }

@@ -1,23 +1,27 @@
 #include "textflag.h"
 
-// Four-lane AVX2 transcriptions of Sincos (fastmath.go) and of the
-// Box-Muller pair Sqrt(-2*Log(u)) * (cos, sin)(2*Pi*v) (NormPair).
+// Four-lane AVX2 transcriptions of Sincos (fastmath.go), of the
+// Box-Muller pair Sqrt(-2*Log(u)) * (cos, sin)(2*Pi*v) (NormPair) and of
+// the breakpoint power x^0.75 (Pow075).
 //
 // Every YMM arithmetic instruction applies the identical scalar IEEE
 // operation (VMULPD = MULSD, VADDPD = ADDSD, VDIVPD = DIVSD, VSQRTPD =
-// SQRTSD, each correctly rounded in the default rounding mode) to each
-// 64-bit lane independently, so running four inputs side by side cannot
-// change a bit of any of them. Nothing here uses FMA: every multiply and
-// add rounds separately, exactly as the Go compiler emits the scalar
-// code on amd64 and as math's log_amd64.s computes archLog. IEEE add and
-// multiply are commutative bit-for-bit, so operand order within one
-// operation is free; the order of operations is not, and follows the
-// scalar source step for step.
+// SQRTSD, VFMADD213PD = VFMADD213SD, each correctly rounded in the
+// default rounding mode) to each 64-bit lane independently, so running
+// four inputs side by side cannot change a bit of any of them. FMA
+// appears only in EXP4, exactly where math's exp_amd64.s fuses on an
+// FMA host; everywhere else every multiply and add rounds separately,
+// exactly as the Go compiler emits the scalar code on amd64 and as
+// math's log_amd64.s computes archLog. IEEE add and multiply are
+// commutative bit-for-bit, so operand order within one operation is
+// free; the order of operations is not, and follows the scalar source
+// step for step.
 //
-// Lanes outside a kernel's domain (|angle| >= 2^29, NaN, Inf, and for
-// the log u <= 0, Inf or NaN) are not computed here: the kernel stops at
-// the first quad holding one and returns how many elements it finished,
-// and the Go wrapper runs that quad through the scalar code.
+// Lanes outside a kernel's domain (|angle| >= 2^29, NaN, Inf; for the
+// log u <= 0, Inf or NaN; for the power x outside [2^-1022, 2^1022)) are
+// not computed here: the kernel stops at the first quad holding one and
+// returns how many elements it finished, and the Go wrapper runs that
+// quad through the scalar code.
 
 // Constant table: each entry is one float64 bit pattern replicated into
 // four lanes (32 bytes), so every constant is a full-width memory
@@ -66,7 +70,20 @@ VEC(1088, 0x3FCC71C51D8E78AF) // L4
 VEC(1120, 0x3FC7466496CB03DE) // L5
 VEC(1152, 0x3FC39A09D078C69F) // L6
 VEC(1184, 0x3FC2F112DF3E5244) // L7
-GLOBL lanec<>(SB), RODATA|NOPTR, $1216
+VEC(1216, 0x3FF71547652B82FE) // LOG2E
+VEC(1248, 0x3FE62E42FEFA3000) // LN2U
+VEC(1280, 0x3D53DE6AF278ECE6) // LN2L
+VEC(1312, 0x3FB0000000000000) // 0.0625
+VEC(1344, 0x3FC5555555555555) // exp C2
+VEC(1376, 0x3FA5555555555555) // exp C3
+VEC(1408, 0x3F81111111111111) // exp C4
+VEC(1440, 0x3F56C16C16C16C17) // exp C5
+VEC(1472, 0x3F2A01A01A01A01A) // exp C6
+VEC(1504, 0x3EFA01A01A01A01A) // exp C7
+VEC(1536, 0xBFD0000000000000) // -0.25
+VEC(1568, 0x0010000000000000) // 2^-1022, the smallest normal
+VEC(1600, 0x7FD0000000000000) // 2^1022
+GLOBL lanec<>(SB), RODATA|NOPTR, $1632
 
 #define ABSMASK lanec<>+0(SB)
 #define SIGNBIT lanec<>+32(SB)
@@ -106,6 +123,19 @@ GLOBL lanec<>(SB), RODATA|NOPTR, $1216
 #define L5      lanec<>+1120(SB)
 #define L6      lanec<>+1152(SB)
 #define L7      lanec<>+1184(SB)
+#define LOG2E   lanec<>+1216(SB)
+#define LN2U    lanec<>+1248(SB)
+#define LN2L    lanec<>+1280(SB)
+#define SIXTEENTH lanec<>+1312(SB)
+#define EC2     lanec<>+1344(SB)
+#define EC3     lanec<>+1376(SB)
+#define EC4     lanec<>+1408(SB)
+#define EC5     lanec<>+1440(SB)
+#define EC6     lanec<>+1472(SB)
+#define EC7     lanec<>+1504(SB)
+#define MQUARTER lanec<>+1536(SB)
+#define MINNORM lanec<>+1568(SB)
+#define POWMAX  lanec<>+1600(SB)
 
 // SINCOS4: Y1 = sin(Y0), Y2 = cos(Y0) for four in-range lanes, given
 // Y1 = |Y0|. Clobbers Y3-Y7. Step for step the scalar Sincos:
@@ -236,6 +266,51 @@ GLOBL lanec<>(SB), RODATA|NOPTR, $1216
 	VMULPD     LN2HI, Y11, Y11;    \
 	VSUBPD     Y14, Y11, Y9
 
+// EXP4: Y1 = Exp(Y1) for four lanes whose results are normal numbers,
+// math/exp_amd64.s archExp's FMA variant (the path math.Exp takes on an
+// AVX2+FMA host) op for op. Clobbers Y2, Y3. Each VFMADD/VFNMADD lane
+// rounds once, exactly like the scalar VFMADD213SD/VFNMADD231SD it
+// stands for.
+//
+//	k = int32(LOG2E*x)       VCVTPD2DQ rounds by MXCSR like CVTSD2SL
+//	z = x - k*LN2U; z = z - k*LN2L    (fused)
+//	z *= 0.0625
+//	p = ((((((C7*z + C6)*z + C5)*z + C4)*z + C3)*z + C2)*z + 0.5)*z + 1   (fused)
+//	fr = z*p; fr = fr*(2+fr) three times; fr = fr*(2+fr) + 1   (last fused)
+//	exp = fr * float64frombits((k+0x3FF) << 52)
+//
+// archExp's overflow, denormal and special-case exits are not
+// transcribed: callers keep every lane inside the range where none of
+// them is taken.
+#define EXP4 \
+	VMULPD       LOG2E, Y1, Y2;    \
+	VCVTPD2DQY   Y2, X3;           \
+	VCVTDQ2PD    X3, Y2;           \
+	VFNMADD231PD LN2U, Y2, Y1;     \
+	VFNMADD231PD LN2L, Y2, Y1;     \
+	VMULPD       SIXTEENTH, Y1, Y1; \
+	VMOVUPD      EC7, Y2;          \
+	VFMADD213PD  EC6, Y1, Y2;      \
+	VFMADD213PD  EC5, Y1, Y2;      \
+	VFMADD213PD  EC4, Y1, Y2;      \
+	VFMADD213PD  EC3, Y1, Y2;      \
+	VFMADD213PD  EC2, Y1, Y2;      \
+	VFMADD213PD  HALF, Y1, Y2;     \
+	VFMADD213PD  ONE, Y1, Y2;      \
+	VMULPD       Y2, Y1, Y1;       \
+	VADDPD       TWO, Y1, Y2;      \
+	VMULPD       Y2, Y1, Y1;       \
+	VADDPD       TWO, Y1, Y2;      \
+	VMULPD       Y2, Y1, Y1;       \
+	VADDPD       TWO, Y1, Y2;      \
+	VMULPD       Y2, Y1, Y1;       \
+	VADDPD       TWO, Y1, Y2;      \
+	VFMADD213PD  ONE, Y2, Y1;      \
+	VPMOVSXDQ    X3, Y3;           \
+	VPSLLQ       $52, Y3, Y3;      \
+	VPADDQ       ONE, Y3, Y3;      \
+	VMULPD       Y3, Y1, Y1
+
 // func sincos4(x, sin, cos *float64, n int) int
 //
 // Computes sin/cos for x[0:n] (n a multiple of 4) one quad at a time and
@@ -312,5 +387,59 @@ nloop:
 
 ndone:
 	MOVQ BX, ret+40(FP)
+	VZEROUPPER
+	RET
+
+// func pow0754(x, y *float64, n int) int
+//
+// Computes y = Pow075(x) for x[0:n] (n a multiple of 4) one quad at a
+// time and returns the number of elements done: n, or the start of the
+// first quad holding a lane outside [2^-1022, 2^1022) (which catches
+// zero, negatives, denormals, NaN and Inf). x and y may be the same
+// array: each quad is loaded before it is stored. Per lane, Pow075's
+// sequence:
+//
+//	x1, xe = Frexp(x)        mantissa | 0.5, biased exponent - 1022
+//	a = Exp(-0.25 * Log(x))  LOG4, VMULPD, EXP4
+//	a *= x1
+//	y = Ldexp(a, xe)         exponent field + xe
+//
+// On this domain Log(x) lies within ±710, so the Exp argument stays
+// within ±178 and a, a*x1 and the result are all normal: Frexp is the
+// bit split above, and Ldexp only adds xe to the exponent field, which
+// is (x & +Inf bits) - (1022 << 52) as a 64-bit integer add (1022 << 52
+// is the bit pattern of 0.5).
+TEXT ·pow0754(SB), NOSPLIT, $0-32
+	MOVQ x+0(FP), SI
+	MOVQ y+8(FP), DI
+	MOVQ n+16(FP), CX
+	XORQ BX, BX
+
+ploop:
+	CMPQ BX, CX
+	JGE  pdone
+	VMOVUPD   (SI)(BX*8), Y0
+	VCMPPD    $0x1D, MINNORM, Y0, Y10
+	VCMPPD    $1, POWMAX, Y0, Y11
+	VANDPD    Y11, Y10, Y10
+	VMOVMSKPD Y10, AX
+	CMPQ      AX, $15
+	JNE       pdone
+	VMOVAPD   Y0, Y9
+	LOG4
+	VMULPD    MQUARTER, Y9, Y1
+	EXP4
+	VANDPD    MANT, Y0, Y2
+	VORPD     HALF, Y2, Y2
+	VMULPD    Y2, Y1, Y1
+	VPAND     POSINF, Y0, Y2
+	VPADDQ    Y2, Y1, Y1
+	VPSUBQ    HALF, Y1, Y1
+	VMOVUPD   Y1, (DI)(BX*8)
+	ADDQ      $4, BX
+	JMP       ploop
+
+pdone:
+	MOVQ BX, ret+24(FP)
 	VZEROUPPER
 	RET

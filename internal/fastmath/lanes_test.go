@@ -1,6 +1,7 @@
 package fastmath
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -114,6 +115,69 @@ func testNormPairs(t *testing.T) {
 	}
 }
 
+// TestPow075SliceMatchesLibrary runs Pow075Slice over the kernel's probe
+// set, 2^20 seeded breakpoint ratios in (0, 1], and quads mixing
+// in-domain lanes with denormal, zero, negative, NaN, infinite and
+// >= 2^1022 ones at every lane position and slice offset, in place and
+// out of place, with the AVX2 lanes as probed and forced off. Positive
+// finite inputs must match math.Pow(x, 0.75) bit for bit; the rest must
+// match the scalar Pow075 the wrapper hands them to.
+func TestPow075SliceMatchesLibrary(t *testing.T) {
+	withLanesAndWithout(t, testPow075Slice)
+}
+
+func testPow075Slice(t *testing.T) {
+	check := func(what string, x, y []float64) {
+		t.Helper()
+		for i, p := range x {
+			want := Pow075(p)
+			if p > 0 && !math.IsInf(p, 1) {
+				want = math.Pow(p, 0.75)
+			}
+			if !sameBits(y[i], want) {
+				t.Fatalf("lanes=%v %s: Pow075Slice(%g) = %x, want %x", LanesExact, what, p,
+					math.Float64bits(y[i]), math.Float64bits(want))
+			}
+		}
+	}
+
+	x := powProbes()
+	for _, s := range []float64{
+		5e-324, 0x1p-1030, 0, math.Copysign(0, -1), -0.5, math.NaN(),
+		math.Inf(1), math.Inf(-1), 0x1p1022, math.MaxFloat64,
+	} {
+		for pos := 0; pos < 4; pos++ {
+			q := []float64{0.25, 0.003, 1, 0.9}
+			q[pos] = s
+			x = append(x, q...)
+		}
+		x = append(x, 0.5, s, 0.125)
+	}
+	y := make([]float64, len(x))
+	for off := 0; off < 4; off++ {
+		for _, cut := range []int{0, 1, 2, 3} {
+			xs := x[off : len(x)-cut]
+			Pow075Slice(xs, y)
+			check(fmt.Sprintf("off=%d cut=%d", off, cut), xs, y)
+			in := append([]float64(nil), xs...)
+			Pow075Slice(in, in)
+			check(fmt.Sprintf("in place off=%d cut=%d", off, cut), xs, in)
+		}
+	}
+
+	r := make([]float64, 1<<20)
+	state := uint64(0x5eed)
+	for i := range r {
+		state += 0x9e3779b97f4a7c15
+		z := (state ^ state>>30) * 0xbf58476d1ce4e5b9
+		z = (z ^ z>>27) * 0x94d049bb133111eb
+		r[i] = float64((z^z>>31)>>11)/(1<<53) + 0x1p-53 // (0, 1]
+	}
+	y = make([]float64, len(r))
+	Pow075Slice(r, y)
+	check("seeded ratios", r, y)
+}
+
 // TestLaneKernelsStopAtBadQuad pins the kernels' return contract: they
 // finish whole quads and stop at the first quad holding a lane outside
 // their domain, which the wrappers then route to the scalar code.
@@ -131,5 +195,10 @@ func TestLaneKernelsStopAtBadQuad(t *testing.T) {
 	var zc, zs [12]float64
 	if got := normPairs4(&u[0], &v[0], &zc[0], &zs[0], len(u)); got != 8 {
 		t.Fatalf("normPairs4 finished %d elements, want 8", got)
+	}
+	p := []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1, 5e-324, 0.2}
+	var py [12]float64
+	if got := pow0754(&p[0], &py[0], len(p)); got != 8 {
+		t.Fatalf("pow0754 finished %d elements, want 8", got)
 	}
 }

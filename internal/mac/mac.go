@@ -6,6 +6,8 @@
 package mac
 
 import (
+	"math"
+
 	"mobiwlan/internal/channel"
 	"mobiwlan/internal/csi"
 	"mobiwlan/internal/phy"
@@ -122,6 +124,7 @@ func (l *Link) Transmit(t float64, mcs phy.MCS, nMPDU int) FrameResult {
 		l.hTau = l.Chan.ResponseInto(t+l.Timing.PLCPPreamble+tau, l.hTau)
 		rhoAt[a] = csi.TemporalCorrelation(l.h0, l.hTau)
 	}
+	snr := math.Pow(10, effSNR/10) // fixed for the frame: hoisted out of the subframe loop
 	for k := 0; k < nMPDU; k++ {
 		frac := (float64(k) + 0.5) / float64(nMPDU) * float64(anchors-1)
 		lo := int(frac)
@@ -130,7 +133,7 @@ func (l *Link) Transmit(t float64, mcs phy.MCS, nMPDU int) FrameResult {
 		}
 		w := frac - float64(lo)
 		rho := rhoAt[lo]*(1-w) + rhoAt[lo+1]*w
-		sinr := phy.StaleSINRdB(effSNR, rho)
+		sinr := phy.StaleSINRdBLin(effSNR, snr, rho)
 		per := phy.PER(mcs, sinr, l.MPDUBytes)
 		if !l.rng.Bool(per) {
 			res.Delivered++

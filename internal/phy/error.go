@@ -100,13 +100,20 @@ func OptimalMCS(w ChannelWidth, sgi bool, snrDB float64, lengthBytes, maxStreams
 // produces the paper's aggregation (Fig. 10), SU-beamforming (Fig. 11),
 // and MU-MIMO (Fig. 12) staleness curves.
 func StaleSINRdB(snrDB, rho float64) float64 {
+	return StaleSINRdBLin(snrDB, math.Pow(10, snrDB/10), rho)
+}
+
+// StaleSINRdBLin is StaleSINRdB with the linear SNR 10^(snrDB/10)
+// supplied by the caller, for loops that evaluate many correlations
+// against one SNR (every subframe of an A-MPDU): same operations on the
+// same values, so the same bits.
+func StaleSINRdBLin(snrDB, snr, rho float64) float64 {
 	if rho >= 1 {
 		return snrDB
 	}
 	if rho <= 0 {
 		return -40
 	}
-	snr := math.Pow(10, snrDB/10)
 	r2 := rho * rho
 	sinr := r2 * snr / ((1-r2)*snr + 1)
 	if sinr < 1e-4 {

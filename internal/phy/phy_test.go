@@ -221,6 +221,39 @@ func TestStaleSINRDegenerateRho(t *testing.T) {
 	}
 }
 
+// TestStaleSINRLinMatchesPerCallPow pins the hoisted-SNR form to the
+// per-call formula it replaced in Transmit's subframe loop, bit for bit,
+// over SNRs and correlations spanning both clamps.
+func TestStaleSINRLinMatchesPerCallPow(t *testing.T) {
+	ref := func(snrDB, rho float64) float64 {
+		if rho >= 1 {
+			return snrDB
+		}
+		if rho <= 0 {
+			return -40
+		}
+		snr := math.Pow(10, snrDB/10)
+		r2 := rho * rho
+		sinr := r2 * snr / ((1-r2)*snr + 1)
+		if sinr < 1e-4 {
+			sinr = 1e-4
+		}
+		return 10 * math.Log10(sinr)
+	}
+	for snrDB := -20.0; snrDB <= 60; snrDB += 0.37 {
+		snr := math.Pow(10, snrDB/10)
+		for _, rho := range []float64{-0.5, 0, 1e-3, 0.1, 0.5, 0.9, 0.99, 0.999999, 1, 1.2} {
+			want := ref(snrDB, rho)
+			if got := StaleSINRdBLin(snrDB, snr, rho); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("StaleSINRdBLin(%v, rho=%v) = %v, per-call formula %v", snrDB, rho, got, want)
+			}
+			if got := StaleSINRdB(snrDB, rho); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("StaleSINRdB(%v, rho=%v) = %v, per-call formula %v", snrDB, rho, got, want)
+			}
+		}
+	}
+}
+
 func flatMatrix(subc int, gain float64) *csi.Matrix {
 	m := csi.NewMatrix(subc, 3, 2)
 	for sc := 0; sc < subc; sc++ {

@@ -76,3 +76,29 @@ func TestRunWLANFleetEmpty(t *testing.T) {
 		t.Fatalf("empty fleet produced %+v", res)
 	}
 }
+
+// TestFleetChannelCacheCounters checks that a finished fleet publishes
+// its links' channel response-cache counters: every counter is non-zero
+// on a mixed-mode fleet and the totals are the same at jobs=1 and
+// jobs=4.
+func TestFleetChannelCacheCounters(t *testing.T) {
+	names := []string{"channel.cache.hits", "channel.cache.misses", "channel.cache.path_evals", "channel.cache.path_reuses"}
+	counts := func(jobs int) []uint64 {
+		scope := obs.NewScope(0)
+		RunWLANFleet(FleetOptions{Clients: 4, Duration: 1, MotionAware: true, Jobs: jobs, Obs: scope}, 7)
+		out := make([]uint64, len(names))
+		for i, n := range names {
+			out[i] = scope.Reg.Counter(n).Value()
+		}
+		return out
+	}
+	serial, fanned := counts(1), counts(4)
+	for i, n := range names {
+		if serial[i] == 0 {
+			t.Errorf("%s = 0 after a fleet run", n)
+		}
+		if serial[i] != fanned[i] {
+			t.Errorf("%s = %d at jobs=1, %d at jobs=4", n, serial[i], fanned[i])
+		}
+	}
+}

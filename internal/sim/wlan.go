@@ -382,12 +382,37 @@ func (c *wlanClient) transmit(start float64, collided bool, interfDBm, overlapFr
 	c.t = start + fr.Airtime
 }
 
-// result finalizes and returns the run summary.
+// result finalizes and returns the run summary. Called once per client,
+// when it finishes, which is also when the client's channel-cache
+// counters are published.
 func (c *wlanClient) result() WLANResult {
 	if c.scen.Duration > 0 {
 		c.res.Mbps = c.bits / c.scen.Duration / 1e6
 	}
+	c.publishCacheStats()
 	return c.res
+}
+
+// publishCacheStats adds every link's channel response-cache counters
+// (channel.Model.CacheStats) into the channel.cache.* obs counters. The
+// sums commute, so the totals are the same at any -jobs.
+func (c *wlanClient) publishCacheStats() {
+	reg := c.opt.Obs.Registry()
+	if reg == nil {
+		return
+	}
+	var sum channel.CacheStats
+	for _, l := range c.links {
+		s := l.Chan.CacheStats()
+		sum.Hits += s.Hits
+		sum.Misses += s.Misses
+		sum.PathEvals += s.PathEvals
+		sum.PathReuses += s.PathReuses
+	}
+	reg.Counter("channel.cache.hits").Add(sum.Hits)
+	reg.Counter("channel.cache.misses").Add(sum.Misses)
+	reg.Counter("channel.cache.path_evals").Add(sum.PathEvals)
+	reg.Counter("channel.cache.path_reuses").Add(sum.PathReuses)
 }
 
 // RunWLAN simulates a client moving through the WLAN with the full
